@@ -175,31 +175,98 @@ object IIM {
     * back to the largest candidate ℓ (under-fit-safe, GLR-like).
     */
   def selectModels(models: Array[Array[Vec]], cost: Array[Array[Double]]): Array[Vec] =
-    Array.tabulate(models.length) { i =>
-      val row = cost(i)
-      var best = 0; var bestC = row(0); var any = row(0) > 0.0
-      var li = 1
-      while (li < row.length) {
-        if (row(li) > 0.0) any = true
-        if (row(li) < bestC) { bestC = row(li); best = li }
+    Array.tabulate(models.length)(i => models(i)(selectIndex(cost(i))))
+
+  /** The candidate index [[selectModels]] keeps for one tuple's cost row. */
+  private def selectIndex(row: Array[Double]): Int = {
+    var best = 0; var bestC = row(0); var any = row(0) > 0.0
+    var li = 1
+    while (li < row.length) {
+      if (row(li) > 0.0) any = true
+      if (row(li) < bestC) { bestC = row(li); best = li }
+      li += 1
+    }
+    if (any) best else row.length - 1
+  }
+
+  /** Reverse validation lists: `R(i)` holds, ascending, every validation
+    * tuple j that counts i among the first `kv` non-self entries of
+    * `lists(j)` — the tuples [[validationCosts]] charges to i's models.
+    */
+  def reverseLists(lists: Array[Array[Int]], kv: Int): Array[Array[Int]] = {
+    val n = lists.length
+    // Calls f(i) for each validation neighbour i of tuple j, in list order.
+    def taken(j: Int)(f: Int => Unit): Unit = {
+      val list = lists(j)
+      var count = 0; var p = 0
+      while (p < list.length && count < kv) {
+        if (list(p) != j) { f(list(p)); count += 1 }
+        p += 1
+      }
+    }
+    val size = new Array[Int](n)
+    for (j <- 0 until n) taken(j)(i => size(i) += 1)
+    val rev = size.map(new Array[Int](_))
+    java.util.Arrays.fill(size, 0)
+    for (j <- 0 until n) taken(j) { i => rev(i)(size(i)) = j; size(i) += 1 }
+    rev
+  }
+
+  /** Tuple i's row of [[validationCosts]] from its own candidate `models`
+    * and its reverse list `rev`: the sums run over `rev` in ascending j, the
+    * order [[validationCosts]] adds them in, so the rows agree bitwise.
+    */
+  def validationCostsFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                         models: Array[Vec], rev: Array[Int]): Array[Double] = {
+    val cost = new Array[Double](models.length)
+    var p = 0
+    while (p < rev.length) {
+      val row = data(rev(p))
+      val xF = Neighbors.project(row, featIdx)
+      val v = row(targetIdx)
+      var li = 0
+      while (li < models.length) {
+        val d = v - Ridge.predict(models(li), xF)
+        cost(li) += d * d
         li += 1
       }
-      models(i)(if (any) best else row.length - 1)
+      p += 1
     }
+    cost
+  }
 
-  /** Algorithm 3 end-to-end with incremental computation. */
-  def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
+  /** Algorithm 3 for one tuple: its candidate models (Proposition 3), their
+    * costs on its reverse list `rev`, and the model [[selectModels]] would
+    * keep — bitwise the same. Local and Spark IIM both run it per tuple.
+    */
+  def adaptiveFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                  list: Array[Int], rev: Array[Int], ls: Array[Int], alpha: Double): Vec = {
+    val models = candidateModelsFor(data, featIdx, targetIdx, list, ls, alpha)
+    models(selectIndex(validationCostsFor(data, featIdx, targetIdx, models, rev)))
+  }
+
+  /** Candidate ℓ values and the forward-list length Algorithm 3 needs:
+    * ℓ up to the largest candidate, plus self and `kv` validation neighbours.
+    */
+  def sweep(data: Array[Array[Double]], p: Params): (Array[Int], Int) = {
+    require(data.nonEmpty, "IIM needs a non-empty complete relation to learn from")
     val ls = ellCandidates(data.length, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
+    (ls, math.max(ls.last, p.kvEff + 1))
+  }
+
+  /** Algorithm 3 end-to-end with incremental computation, one tuple at a
+    * time: forward lists, their reverse, then [[adaptiveFor]] per tuple.
+    */
+  def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
+    val (ls, limit) = sweep(data, p)
     val lists = neighborLists(data, featIdx, limit)
-    val models = candidateModels(data, featIdx, targetIdx, lists, ls, p.alpha)
-    selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
+    val rev = reverseLists(lists, p.kvEff)
+    Array.tabulate(data.length)(i => adaptiveFor(data, featIdx, targetIdx, lists(i), rev(i), ls, p.alpha))
   }
 
   /** Algorithm 3 as written (from-scratch learning per ℓ); for tests/timing. */
   def adaptiveNaive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
-    val ls = ellCandidates(data.length, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
+    val (ls, limit) = sweep(data, p)
     val lists = neighborLists(data, featIdx, limit)
     val models = candidateModelsNaive(data, featIdx, targetIdx, lists, ls, p.alpha)
     selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))

@@ -1,79 +1,55 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{array, col, isnan, lit, udf, when}
 import repro.core.{IIM, Imputer, Neighbors}
 import repro.linalg.LinAlg.Vec
 
 /** Spark-parallel IIM, per the DataFrame-first layering in DESIGN.md §1.
   *
-  * The complete relation is small (≤100k short rows) and is broadcast; the
-  * two heavy loops of adaptive learning fan out over the cluster:
+  * The complete relation is small (≤100k short rows) and is broadcast;
+  * adaptive learning fans out over tuples in two shuffle-free jobs:
   *
-  *  - candidate-model learning is `mapPartitions` over one row per complete
-  *    tuple (`spark.range(n)`), each task running the incremental
-  *    Proposition-3 update for its tuples;
-  *  - validation fans out per validation tuple, emitting (i, ℓ, cost)
-  *    contributions that a DataFrame `groupBy().sum()` aggregates — the
-  *    shuffle path, since broadcast joins are disabled in tests;
+  *  - job 1 builds each tuple's forward neighbour list in `mapPartitions`
+  *    over `spark.range(n)`; the driver collects them and derives the
+  *    reverse validation lists ([[IIM.reverseLists]]);
+  *  - job 2 runs [[IIM.adaptiveFor]] per tuple in `mapPartitions` with both
+  *    list arrays broadcast: candidate learning (Proposition 3), validation
+  *    on the tuple's reverse list and the ℓ* choice, all inside one task;
   *  - imputation (Algorithm 2) is a scalar UDF over the feature array,
   *    applied only where the target column is NULL/NaN.
   */
 object SparkIIM {
 
   /** Distributed Algorithm-3 learning; returns one model per complete tuple
-    * (identical to [[IIM.adaptive]] — asserted in tests).
+    * (bitwise identical to [[IIM.adaptive]] — asserted in tests).
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
                      targetIdx: Int, p: IIM.Params): Array[Vec] = {
     import spark.implicits._
     val sc = spark.sparkContext
+    val (ls, limit) = IIM.sweep(data, p)
     val n = data.length
-    val ls = IIM.ellCandidates(n, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
     val bcData = sc.broadcast(data)
     val bcFeat = sc.broadcast(featIdx)
-    val kv = p.kvEff
-    val alpha = p.alpha
-    val tIdx = targetIdx
 
-    // Phase A: per-tuple candidate models, parallel over tuples.
-    val modelRows = spark.range(n.toLong).as[Long].mapPartitions { it =>
+    val lists = new Array[Array[Int]](n)
+    spark.range(n.toLong).as[Long].mapPartitions { it =>
       val d = bcData.value; val fi = bcFeat.value
+      it.map { i => (i.toInt, Neighbors.nearest(d, fi, Neighbors.project(d(i.toInt), fi), limit)) }
+    }.collect().foreach { case (i, list) => lists(i) = list }
+
+    val bcLists = sc.broadcast(lists)
+    val bcRev = sc.broadcast(IIM.reverseLists(lists, p.kvEff))
+    val models = new Array[Vec](n)
+    spark.range(n.toLong).as[Long].mapPartitions { it =>
+      val d = bcData.value; val fi = bcFeat.value; val fw = bcLists.value; val rv = bcRev.value
       it.map { iL =>
         val i = iL.toInt
-        val list = Neighbors.nearest(d, fi, Neighbors.project(d(i), fi), math.min(limit, d.length))
-        val models = IIM.candidateModelsFor(d, fi, tIdx, list, ls, alpha)
-        (i, models.map(_.toSeq).toSeq)
+        (i, IIM.adaptiveFor(d, fi, targetIdx, fw(i), rv(i), ls, p.alpha))
       }
-    }.collect()
-    val models = new Array[Array[Vec]](n)
-    modelRows.foreach { case (i, ms) => models(i) = ms.map(_.toArray).toArray }
-
-    // Phase B: validation-cost contributions per validation tuple, aggregated
-    // relationally. cost[i][li] = Σ_j (v_j − φ_i^{(ℓ_li)}(t_j[F]))² over the
-    // validation tuples j that count i among their k imputation neighbours.
-    val bcModels = sc.broadcast(models)
-    val contributions = spark.range(n.toLong).as[Long].flatMap { jL =>
-      val d = bcData.value; val fi = bcFeat.value; val ms = bcModels.value
-      val j = jL.toInt
-      val xF = Neighbors.project(d(j), fi)
-      val v = d(j)(tIdx)
-      val nn = Neighbors.nearest(d, fi, xF, kv, exclude = j)
-      for {
-        i <- nn.toSeq
-        li <- ls.indices
-      } yield {
-        val e = v - repro.core.Ridge.predict(ms(i)(li), xF)
-        (i, li, e * e)
-      }
-    }.toDF("i", "li", "err")
-      .groupBy("i", "li").agg(sum("err").as("cost"))
-      .collect()
-
-    val cost = Array.fill(n)(new Array[Double](ls.length))
-    contributions.foreach(r => cost(r.getInt(0))(r.getInt(1)) = r.getDouble(2))
-    IIM.selectModels(models, cost)
+    }.collect().foreach { case (i, phi) => models(i) = phi }
+    models
   }
 
   /** Algorithm 2 as a DataFrame UDF: rows of `df` whose `targetCol` is

@@ -55,6 +55,32 @@ object CoreProps extends Properties("core") {
     data.indices.forall(i => ls.indices.forall(li => a(i)(li).sameElements(b(i)(li))))
   }
 
+  // Coarse integer features give duplicate rows (distance ties); n runs
+  // from 1, below and above the validation-neighbour count kv.
+  private val tiedData: Gen[Array[Array[Double]]] = for {
+    n <- Gen.choose(1, 30)
+    levels <- Gen.oneOf(2, 4, 1000)
+    seed <- Gen.choose(0L, 10000L)
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    Array.fill(n)(Array(rnd.nextInt(levels).toDouble, rnd.nextInt(levels).toDouble, rnd.nextDouble() * 10))
+  }
+
+  property("fused adaptive equals selectModels over all candidates and costs, bitwise") = Prop.forAll(
+    Gen.oneOf(smallData, tiedData), Gen.choose(1, 3), Gen.choose(1, 40), Gen.choose(1, 3)) { (data, k, kv, step) =>
+    val p = IIM.Params(k = k, lMax = 12, step = step, kv = kv)
+    val (ls, limit) = IIM.sweep(data, p)
+    val lists = IIM.neighborLists(data, fi, limit)
+    val models = IIM.candidateModels(data, fi, ti, lists, ls, p.alpha)
+    val cost = IIM.validationCosts(data, fi, ti, lists, models, ls, kv)
+    val want = IIM.selectModels(models, cost)
+    val got = IIM.adaptive(data, fi, ti, p)
+    val rev = IIM.reverseLists(lists, kv)
+    def bits(m: Array[Double]) = m.map(java.lang.Double.doubleToRawLongBits).toSeq
+    got.length == want.length && got.indices.forall(i => bits(got(i)) == bits(want(i))) &&
+      data.indices.forall(i => bits(IIM.validationCostsFor(data, fi, ti, models(i), rev(i))) == bits(cost(i)))
+  }
+
   property("Ridge incremental state equals batch fit") = Prop.forAll(smallData) { data =>
     val xs = data.map(r => Array(r(0), r(1)))
     val ys = data.map(_(2))

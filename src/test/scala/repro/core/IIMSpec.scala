@@ -195,6 +195,27 @@ class IIMSpec extends AnyFunSuite {
     data.indices.foreach(i => assert(lists(i)(0) == i))
   }
 
+  test("reverseLists: each R(i) is ascending and Σ|R(i)| = n·min(kv, n−1)") {
+    for ((n, kv) <- Seq((30, 7), (12, 11), (5, 10), (1, 3))) {
+      val data = randomData(n, 2, 53 + n)
+      // Longer than kv + 1, so the rule must stop at kv validation neighbours.
+      val lists = IIM.neighborLists(data, Array(0), kv + 4)
+      val rev = IIM.reverseLists(lists, kv)
+      assert(rev.length == n)
+      rev.foreach(r => assert(r.sameElements(r.sorted.distinct), s"n=$n kv=$kv: R not ascending"))
+      assert(rev.map(_.length).sum == n * math.min(kv, n - 1), s"n=$n kv=$kv")
+      // j ∈ R(i) exactly when i is among the first kv non-self entries of lists(j).
+      for (i <- 0 until n; j <- 0 until n)
+        assert(rev(i).contains(j) == lists(j).filter(_ != j).take(kv).contains(i), s"n=$n kv=$kv i=$i j=$j")
+    }
+  }
+
+  test("adaptive rejects an empty relation with a clear message") {
+    val e = intercept[IllegalArgumentException](
+      IIM.adaptive(Array.empty[Array[Double]], Array(0), 1, IIM.Params()))
+    assert(e.getMessage.contains("non-empty complete relation"))
+  }
+
   test("adaptive IIM beats kNN and GLR on heterogeneous two-street data") {
     // Two clusters with different regressions, queries from both.
     val rnd = new scala.util.Random(61)

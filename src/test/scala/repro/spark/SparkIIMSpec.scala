@@ -1,5 +1,8 @@
 package repro.spark
 
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.core.IIM
 
@@ -13,14 +16,46 @@ class SparkIIMSpec extends SparkSpec {
 
   private val p = IIM.Params(k = 4, lMax = 25, step = 2)
 
+  private def assertBitwise(a: Array[Double], b: Array[Double], what: String): Unit = {
+    assert(a.length == b.length, s"$what: lengths differ")
+    for (i <- a.indices)
+      assert(java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i)),
+        s"$what, entry $i: ${a(i)} vs ${b(i)}")
+  }
+
   test("adaptiveModels equals the local IIM.adaptive models") {
     val data = randomData(80, 3, 1)
     val fi = Array(0, 1); val ti = 2
     val sparkModels = SparkIIM.adaptiveModels(spark, data, fi, ti, p)
     val localModels = IIM.adaptive(data, fi, ti, p)
     assert(sparkModels.length == localModels.length)
-    for (i <- data.indices; j <- sparkModels(i).indices)
-      assert(math.abs(sparkModels(i)(j) - localModels(i)(j)) < 1e-9, s"model $i differs")
+    for (i <- data.indices) assertBitwise(sparkModels(i), localModels(i), s"model $i")
+  }
+
+  test("adaptiveModels runs exactly two jobs and writes no shuffle records") {
+    val data = randomData(80, 3, 8)
+    val jobs = new AtomicLong
+    val shuffleRecords = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null) shuffleRecords.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    val sc = spark.sparkContext
+    TestBus.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      SparkIIM.adaptiveModels(spark, data, Array(0, 1), 2, p)
+      TestBus.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.get == 2)
+    assert(shuffleRecords.get == 0)
+  }
+
+  test("adaptiveModels rejects an empty relation with a clear message") {
+    val e = intercept[IllegalArgumentException](
+      SparkIIM.adaptiveModels(spark, Array.empty[Array[Double]], Array(0, 1), 2, p))
+    assert(e.getMessage.contains("non-empty complete relation"))
   }
 
   test("imputeValues equals the local end-to-end pipeline") {
@@ -30,8 +65,7 @@ class SparkIIMSpec extends SparkSpec {
     val queries = Array.fill(10)(Array(rnd.nextDouble() * 10, rnd.nextDouble() * 10))
     val viaSpark = SparkIIM.imputeValues(spark, data, fi, ti, queries, p)
     val local = new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L)
-    for (i <- queries.indices)
-      assert(math.abs(viaSpark(i) - local(i)) < 1e-8, s"query $i: ${viaSpark(i)} vs ${local(i)}")
+    assertBitwise(viaSpark, local, "imputeValues vs LocalImputer")
   }
 
   test("impute UDF only touches NULL/NaN targets") {
@@ -72,7 +106,7 @@ class SparkIIMSpec extends SparkSpec {
     val queries = Array.fill(6)(Array.fill(3)(rnd.nextDouble() * 10))
     val a = new SparkIIM.SparkImputer(spark, p).imputeAll(data, fi, ti, queries, 0L)
     val b = new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L)
-    for (i <- queries.indices) assert(math.abs(a(i) - b(i)) < 1e-8)
+    assertBitwise(a, b, "SparkImputer vs LocalImputer")
   }
 
   test("SparkImputer reports the paper's method name") {
