@@ -60,16 +60,9 @@ object IIM {
     }
   }
 
-  /** Algorithm 1: learn one model per tuple over a fixed number ℓ of
-    * learning neighbours.
+  /** Algorithm 1 for one tuple and one ℓ, from scratch: a ridge model over
+    * the first `ell` entries of its neighbour list.
     */
-  def learnFixed(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
-                 ell: Int, alpha: Double): Array[Vec] = {
-    val lists = neighborLists(data, featIdx, math.min(ell, data.length))
-    Array.tabulate(data.length)(i => fitOver(data, featIdx, targetIdx, lists(i), math.min(ell, data.length), alpha))
-  }
-
-  /** Fit a ridge model over the first `ell` entries of a neighbour list. */
   private def fitOver(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                       list: Array[Int], ell: Int, alpha: Double): Vec = {
     if (ell <= 1) singleNeighborModel(featIdx.length, data(list(0))(targetIdx))
@@ -88,7 +81,8 @@ object IIM {
   /** Candidate models for every tuple and candidate ℓ, computed with the
     * incremental update of Proposition 3: one pass per tuple, appending
     * neighbours in distance order and solving at each candidate ℓ.
-    * Result is indexed `[tuple][candidateIdx]`.
+    * Result is indexed `[tuple][candidateIdx]`; Algorithm 1 at a single ℓ is
+    * `ls = Array(ℓ)`.
     */
   def candidateModels(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                       lists: Array[Array[Int]], ls: Array[Int], alpha: Double): Array[Array[Vec]] =
@@ -247,9 +241,17 @@ object IIM {
 
   /** Candidate ℓ values and the forward-list length Algorithm 3 needs:
     * ℓ up to the largest candidate, plus self and `kv` validation neighbours.
+    * Rejects a complete relation IIM cannot learn from: an empty one, a
+    * target among the features, or a non-finite cell in a used column.
     */
-  def sweep(data: Array[Array[Double]], p: Params): (Array[Int], Int) = {
+  def sweep(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+            p: Params): (Array[Int], Int) = {
     require(data.nonEmpty, "IIM needs a non-empty complete relation to learn from")
+    require(!featIdx.contains(targetIdx), s"target column $targetIdx is also a feature column")
+    val used = featIdx :+ targetIdx
+    for (i <- data.indices; c <- used)
+      require(java.lang.Double.isFinite(data(i)(c)),
+        s"complete relation has non-finite value ${data(i)(c)} at row $i, column $c")
     val ls = ellCandidates(data.length, p.lMax, p.step)
     (ls, math.max(ls.last, p.kvEff + 1))
   }
@@ -258,18 +260,10 @@ object IIM {
     * time: forward lists, their reverse, then [[adaptiveFor]] per tuple.
     */
   def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
-    val (ls, limit) = sweep(data, p)
+    val (ls, limit) = sweep(data, featIdx, targetIdx, p)
     val lists = neighborLists(data, featIdx, limit)
     val rev = reverseLists(lists, p.kvEff)
     Array.tabulate(data.length)(i => adaptiveFor(data, featIdx, targetIdx, lists(i), rev(i), ls, p.alpha))
-  }
-
-  /** Algorithm 3 as written (from-scratch learning per ℓ); for tests/timing. */
-  def adaptiveNaive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
-    val (ls, limit) = sweep(data, p)
-    val lists = neighborLists(data, featIdx, limit)
-    val models = candidateModelsNaive(data, featIdx, targetIdx, lists, ls, p.alpha)
-    selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
   }
 
   /** Formulas 10–12: candidates vote for each other; weight ∝ 1 / Σ_j |c_i − c_j|. */

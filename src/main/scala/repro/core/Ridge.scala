@@ -20,26 +20,27 @@ object Ridge {
     val u: Mat = LinAlg.zeros(d, d)
     /** V = XᵀY over all rows added so far. */
     val v: Vec = new Array[Double](d)
-    /** Number of rows added. */
-    var count: Int = 0
 
-    /** Append one observation (feature vector without the leading 1). */
-    def add(x: Vec, y: Double): Unit = {
+    /** Append one observation (feature vector without the leading 1) with
+      * the augmented row (1, x) and y scaled by `s`, the square root of the
+      * row's weight. Every product by s = 1 is exact, so the default adds
+      * the unscaled row without extra rounding.
+      */
+    def add(x: Vec, y: Double, s: Double = 1.0): Unit = {
       require(x.length == nFeatures, s"expected $nFeatures features, got ${x.length}")
-      // Augmented row a = (1, x); accumulate aᵀa into U and aᵀy into V.
-      u(0)(0) += 1.0
-      v(0) += y
+      // Scaled row a = s·(1, x); accumulate aᵀa into U and aᵀ(s·y) into V.
+      u(0)(0) += s * s
+      v(0) += s * s * y
       var i = 0
       while (i < nFeatures) {
-        val xi = x(i)
-        u(0)(i + 1) += xi
-        u(i + 1)(0) += xi
-        v(i + 1) += xi * y
+        val xi = s * x(i)
+        u(0)(i + 1) += s * xi
+        u(i + 1)(0) += s * xi
+        v(i + 1) += xi * (s * y)
         var j = 0
-        while (j < nFeatures) { u(i + 1)(j + 1) += xi * x(j); j += 1 }
+        while (j < nFeatures) { u(i + 1)(j + 1) += xi * (s * x(j)); j += 1 }
         i += 1
       }
-      count += 1
     }
 
     /** Solve (U + αE)⁻¹ V for the current rows. */
@@ -63,29 +64,12 @@ object Ridge {
   /** Weighted fit (row weights w ≥ 0), used by the LOESS baseline. */
   def fitWeighted(xs: Array[Vec], ys: Vec, ws: Vec, alpha: Double): Vec = {
     require(xs.nonEmpty, "cannot fit on zero rows")
-    val f = xs(0).length
-    val st = new State(f, alpha)
+    val st = new State(xs(0).length, alpha)
     // Weighted least squares = OLS on rows scaled by sqrt(w).
     var i = 0
     while (i < xs.length) {
       val s = math.sqrt(math.max(ws(i), 0.0))
-      if (s > 0.0) {
-        // Scale the augmented row (1, x) by s: fold s into U/V manually.
-        val x = xs(i)
-        st.u(0)(0) += s * s
-        st.v(0) += s * s * ys(i)
-        var a = 0
-        while (a < f) {
-          val xa = s * x(a); val one = s
-          st.u(0)(a + 1) += one * xa
-          st.u(a + 1)(0) += one * xa
-          st.v(a + 1) += xa * (s * ys(i))
-          var b = 0
-          while (b < f) { st.u(a + 1)(b + 1) += xa * (s * x(b)); b += 1 }
-          a += 1
-        }
-        st.count += 1
-      }
+      if (s > 0.0) st.add(xs(i), ys(i), s)
       i += 1
     }
     st.solve()

@@ -28,7 +28,7 @@ object SparkIIM {
                      targetIdx: Int, p: IIM.Params): Array[Vec] = {
     import spark.implicits._
     val sc = spark.sparkContext
-    val (ls, limit) = IIM.sweep(data, p)
+    val (ls, limit) = IIM.sweep(data, featIdx, targetIdx, p)
     val n = data.length
     val bcData = sc.broadcast(data)
     val bcFeat = sc.broadcast(featIdx)

@@ -3,7 +3,7 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.apps.Applications
 import repro.data.{Generators, Missing}
-import repro.ml.{KMeans, KnnClassifier, Metrics}
+import repro.ml.KMeans
 
 /** Table VII: clustering purity on ASF & CA and classification F1 on MAM &
   * HEP, with real (injected MCAR, truth unused) missing values, for every
@@ -32,7 +32,7 @@ object TableVII {
       val holed = Missing.injectCells(ds.rows, cellProb, seed + 1)
       val truth = KMeans.fit(ds.rows, k, seed).labels
       def purityOf(data: Array[Array[Double]]): Double =
-        Metrics.purity(KMeans.fit(data, k, seed).labels, truth)
+        Applications.clusteringPurity(truth, data, k, seed)
       val missingScore = purityOf(holed)
       val methods = Methods.iim(spark, name) +: Methods.withMean()
       val scores = methods.map { m =>

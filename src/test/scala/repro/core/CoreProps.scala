@@ -42,7 +42,7 @@ object CoreProps extends Properties("core") {
   }
 
   property("learnFixed(ℓ=n) gives every tuple the global model") = Prop.forAll(smallData) { data =>
-    val models = IIM.learnFixed(data, fi, ti, data.length, 1e-3)
+    val models = IIMSpec.learnFixed(data, fi, ti, data.length, 1e-3)
     val glr = GlrImputer.fit(data, fi, ti, 1e-3)
     models.forall(m => m.indices.forall(j => math.abs(m(j) - glr(j)) < 1e-6))
   }
@@ -69,7 +69,7 @@ object CoreProps extends Properties("core") {
   property("fused adaptive equals selectModels over all candidates and costs, bitwise") = Prop.forAll(
     Gen.oneOf(smallData, tiedData), Gen.choose(1, 3), Gen.choose(1, 40), Gen.choose(1, 3)) { (data, k, kv, step) =>
     val p = IIM.Params(k = k, lMax = 12, step = step, kv = kv)
-    val (ls, limit) = IIM.sweep(data, p)
+    val (ls, limit) = IIM.sweep(data, fi, ti, p)
     val lists = IIM.neighborLists(data, fi, limit)
     val models = IIM.candidateModels(data, fi, ti, lists, ls, p.alpha)
     val cost = IIM.validationCosts(data, fi, ti, lists, models, ls, kv)
@@ -90,7 +90,7 @@ object CoreProps extends Properties("core") {
   }
 
   property("imputeOne is reproducible") = Prop.forAll(smallData) { data =>
-    val models = IIM.learnFixed(data, fi, ti, math.min(5, data.length), 1e-3)
+    val models = IIMSpec.learnFixed(data, fi, ti, math.min(5, data.length), 1e-3)
     val q = Array(3.3, 6.6)
     IIM.imputeOne(data, models, fi, q, 3) == IIM.imputeOne(data, models, fi, q, 3)
   }

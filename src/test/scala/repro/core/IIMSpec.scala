@@ -14,6 +14,7 @@ import repro.baselines.{GlrImputer, KnnImputer}
   * NN(t1,4) = {t1..t4}, NN(t4,4) = {t4,t3,t2,t1}, NN(t5,4) = {t5,t6,t7,t8}.
   */
 class IIMSpec extends AnyFunSuite {
+  import IIMSpec.learnFixed
 
   private def line2(x: Double): Double = 1.11 * x - 4.36
   private val fig1: Array[Array[Double]] = Array(
@@ -27,18 +28,18 @@ class IIMSpec extends AnyFunSuite {
   private def approx(a: Double, b: Double, tol: Double): Boolean = math.abs(a - b) <= tol
 
   test("Example 2: individual learning with ℓ=4 gives φ1 = (5.56, -0.87)") {
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
     assert(approx(models(0)(0), 5.56, 0.01) && approx(models(0)(1), -0.87, 0.01))
   }
 
   test("Example 2: φ2 equals φ1 (same learning neighbours) and φ8 = (-4.36, 1.11)") {
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
     assert(approx(models(1)(0), 5.56, 0.01) && approx(models(1)(1), -0.87, 0.01))
     assert(approx(models(7)(0), -4.36, 0.01) && approx(models(7)(1), 1.11, 0.01))
   }
 
   test("Example 3: candidates of t_x's neighbours t5, t6 are 1.19") {
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
     val qF = Array(5.0)
     assert(approx(Ridge.predict(models(4), qF), 1.19, 0.01))
     assert(approx(Ridge.predict(models(5), qF), 1.19, 0.01))
@@ -51,7 +52,7 @@ class IIMSpec extends AnyFunSuite {
   }
 
   test("Example 3: aggregated imputation ≈ 1.194 (paper, 2-decimal rounding)") {
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
     val got = IIM.imputeOne(fig1, models, featIdx, Array(5.0), k = 3)
     // Full-precision φ4 gives 1.1976; the paper's 1.194 comes from rounding φ to 2 decimals.
     assert(approx(got, 1.194, 0.01), s"got $got")
@@ -59,7 +60,7 @@ class IIMSpec extends AnyFunSuite {
 
   test("Figure 1: IIM beats kNN beats GLR on t_x (truth 1.8)") {
     val truth = 1.8
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 4, alpha = eps)
     val iim = IIM.imputeOne(fig1, models, featIdx, Array(5.0), k = 3)
     val knn = new KnnImputer(3).imputeAll(fig1, featIdx, targetIdx, Array(Array(5.0)), 0L)(0)
     val glr = new GlrImputer(eps).imputeAll(fig1, featIdx, targetIdx, Array(Array(5.0)), 0L)(0)
@@ -68,7 +69,7 @@ class IIMSpec extends AnyFunSuite {
   }
 
   test("ℓ=1 produces the constant single-neighbour model (§III-A2)") {
-    val models = IIM.learnFixed(fig1, featIdx, targetIdx, ell = 1, alpha = eps)
+    val models = learnFixed(fig1, featIdx, targetIdx, ell = 1, alpha = eps)
     fig1.indices.foreach { i =>
       assert(models(i)(0) == fig1(i)(targetIdx) && models(i)(1) == 0.0)
     }
@@ -87,7 +88,7 @@ class IIMSpec extends AnyFunSuite {
   test("Proposition 1: ℓ=1 with uniform weights reduces to kNN imputation") {
     val data = randomData(60, 3, 11)
     val fi = Array(0, 1); val ti = 2
-    val models = IIM.learnFixed(data, fi, ti, ell = 1, alpha = 1e-3)
+    val models = learnFixed(data, fi, ti, ell = 1, alpha = 1e-3)
     val rnd = new scala.util.Random(12)
     for (_ <- 1 to 10) {
       val q = Array(rnd.nextDouble() * 10, rnd.nextDouble() * 10)
@@ -102,7 +103,7 @@ class IIMSpec extends AnyFunSuite {
   test("Proposition 2: ℓ=n reduces to GLR imputation") {
     val data = randomData(50, 3, 21)
     val fi = Array(0, 1); val ti = 2
-    val models = IIM.learnFixed(data, fi, ti, ell = data.length, alpha = 1e-3)
+    val models = learnFixed(data, fi, ti, ell = data.length, alpha = 1e-3)
     val glrPhi = GlrImputer.fit(data, fi, ti, 1e-3)
     val rnd = new scala.util.Random(22)
     for (_ <- 1 to 10) {
@@ -122,15 +123,6 @@ class IIMSpec extends AnyFunSuite {
     val scratch = IIM.candidateModelsNaive(data, fi, ti, lists, ls, 1e-3)
     for (i <- data.indices; li <- ls.indices)
       assert(inc(i)(li).sameElements(scratch(i)(li)), s"i=$i li=$li")
-  }
-
-  test("adaptive equals adaptiveNaive (identical models selected)") {
-    val data = randomData(70, 3, 41)
-    val fi = Array(0, 1); val ti = 2
-    val p = IIM.Params(k = 4, lMax = 30, step = 2)
-    val a = IIM.adaptive(data, fi, ti, p)
-    val b = IIM.adaptiveNaive(data, fi, ti, p)
-    for (i <- data.indices) assert(a(i).sameElements(b(i)), s"i=$i")
   }
 
   test("ellCandidates covers 1..n with step 1") {
@@ -216,6 +208,19 @@ class IIMSpec extends AnyFunSuite {
     assert(e.getMessage.contains("non-empty complete relation"))
   }
 
+  test("adaptive rejects a NaN in the complete relation, naming its row and column") {
+    val data = randomData(20, 3, 42)
+    data(7)(1) = Double.NaN
+    val e = intercept[IllegalArgumentException](IIM.adaptive(data, Array(0, 1), 2, IIM.Params()))
+    assert(e.getMessage.contains("row 7, column 1"), e.getMessage)
+  }
+
+  test("adaptive rejects a target index inside featIdx") {
+    val e = intercept[IllegalArgumentException](
+      IIM.adaptive(randomData(20, 3, 43), Array(0, 1), 1, IIM.Params()))
+    assert(e.getMessage.contains("target column 1 is also a feature column"), e.getMessage)
+  }
+
   test("adaptive IIM beats kNN and GLR on heterogeneous two-street data") {
     // Two clusters with different regressions, queries from both.
     val rnd = new scala.util.Random(61)
@@ -238,4 +243,15 @@ class IIMSpec extends AnyFunSuite {
     assert(iim < knn, s"iim=$iim knn=$knn")
     assert(iim < glr, s"iim=$iim glr=$glr")
   }
+}
+
+object IIMSpec {
+
+  /** Algorithm 1 at a single ℓ for every tuple: the ℓ-th candidate of the
+    * incremental learner over lists of length ℓ.
+    */
+  private[core] def learnFixed(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                               ell: Int, alpha: Double): Array[Array[Double]] =
+    IIM.candidateModels(data, featIdx, targetIdx, IIM.neighborLists(data, featIdx, ell),
+      Array(ell), alpha).map(_(0))
 }

@@ -58,6 +58,13 @@ class SparkIIMSpec extends SparkSpec {
     assert(e.getMessage.contains("non-empty complete relation"))
   }
 
+  test("adaptiveModels rejects a NaN in the complete relation, naming its row and column") {
+    val data = randomData(20, 3, 9)
+    data(11)(2) = Double.NaN
+    val e = intercept[IllegalArgumentException](SparkIIM.adaptiveModels(spark, data, Array(0, 1), 2, p))
+    assert(e.getMessage.contains("row 11, column 2"), e.getMessage)
+  }
+
   test("imputeValues equals the local end-to-end pipeline") {
     val data = randomData(70, 3, 2)
     val fi = Array(0, 1); val ti = 2
